@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet lint bench bench-shard bench-trace bench-cursor bench-cache bench-pairs bench-measures bench-memstats bench-cluster experiments serve-demo serve-cluster api-check api-snapshot
+.PHONY: build test test-race vet lint bench perfbench perfbench-compare bench-shard bench-trace bench-cursor bench-cache bench-pairs bench-measures bench-memstats bench-cluster experiments serve-demo serve-cluster api-check api-snapshot
 
 build:
 	$(GO) build ./...
@@ -22,16 +22,30 @@ lint: vet
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrency-bearing packages: the parallel kNDS engine
-# and its serial-equivalence suite, the sharded fan-out engine, the
-# distributed serving tier (loopback node fleets + coordinator), the worker
-# pool primitives, the shared address cache, the semantic-distance cache,
-# and the telemetry registry.
+# Race-detect the concurrency-bearing packages: the kNDS engine with its
+# batch scheduler and partitioned full scan, the sharded fan-out engine,
+# the distributed serving tier (loopback node fleets + coordinator), the
+# group and sharded-map primitives, the shared address cache, the
+# semantic-distance cache, and the telemetry registry.
 test-race:
 	$(GO) test -race -count=2 ./internal/cache/... ./internal/cluster/... ./internal/core/... ./internal/drc/... ./internal/pool/... ./internal/shard/... ./internal/telemetry/...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): one
+# untraced 20 s run of one workload, e.g.
+#   make perfbench WORKLOAD=patient-cold SEED=301
+# and a comparison of two runs' output directories:
+#   make perfbench-compare A=dir-a B=dir-b
+WORKLOAD ?= patient-cold
+SEED ?= 1
+
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace 0
+
+perfbench-compare:
+	bash perfbench/run.sh --compare $(A) $(B)
 
 # Sharded fan-out latency sweep (shard counts x placements), with every
 # answer verified against the single engine.

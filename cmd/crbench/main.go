@@ -28,13 +28,11 @@ func main() {
 		scaleName = flag.String("scale", "small", "environment scale: small, medium or paper")
 		exp       = flag.String("exp", "all", "experiment: "+strings.Join(bench.Names(), ", "))
 		seed      = flag.Int64("seed", 1, "generator seed")
-		workers   = flag.Int("workers", 1, "intra-query Options.Workers for the reproduction workloads (1 = the paper's serial engine; results identical either way)")
 		outPath   = flag.String("out", "", "also write the markdown to this file")
 		csvPath   = flag.String("csv", "", "also write every table as CSV (stable column order, table-ID-prefixed rows) to this file — the diffable form CI archives for before/after comparisons")
 		listen    = flag.String("listen", "", "serve /debug/pprof and /metrics on this address for the duration of the run")
 	)
 	flag.Parse()
-	bench.QueryWorkers = *workers
 
 	if *listen != "" {
 		srv, err := telemetry.New(telemetry.Config{}).Serve(*listen)

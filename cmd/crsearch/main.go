@@ -44,7 +44,7 @@ func main() {
 		docID     = flag.Int("doc", -1, "query document ID (sds)")
 		k         = flag.Int("k", 10, "number of results")
 		eps       = flag.Float64("eps", 0.5, "kNDS error threshold")
-		workers   = flag.Int("workers", 0, "intra-query DRC workers (0 = GOMAXPROCS, 1 = serial; results identical)")
+		workers   = flag.Int("workers", 0, "goroutines of the -baseline full scan (0, 1 = serial) and the -pairs join (0 = GOMAXPROCS); results identical")
 		baseline  = flag.Bool("baseline", false, "also run the full-scan baseline and compare")
 		page      = flag.Int("page", 0, "page size: stream the top -k through a resumable cursor, -page results at a time (0 = one-shot)")
 		shards    = flag.Int("shards", 1, "partition the collection across N parallel engines (results identical)")
@@ -190,18 +190,15 @@ func main() {
 	fmt.Printf("\nkNDS: %v total (%v distance calc, %v traversal, %v io); examined %d of %d discovered; %d DRC calls",
 		m.TotalTime.Round(1000), m.DistanceTime.Round(1000), m.TraversalTime.Round(1000), m.IOTime.Round(1000),
 		m.DocsExamined, m.DocsDiscovered, m.DRCCalls)
-	if m.SpeculativeDRC > 0 {
-		fmt.Printf(" (%d speculative)", m.SpeculativeDRC)
-	}
 	fmt.Println()
 
 	if *baseline {
 		var scan []conceptrank.Result
 		var bm *conceptrank.Metrics
 		if sds {
-			scan, bm, err = eng.FullScanSDS(concepts, conceptrank.WithK(*k), conceptrank.WithMeasure(opts.Measure))
+			scan, bm, err = eng.FullScanSDS(concepts, conceptrank.WithK(*k), conceptrank.WithWorkers(*workers), conceptrank.WithMeasure(opts.Measure))
 		} else {
-			scan, bm, err = eng.FullScanRDS(concepts, conceptrank.WithK(*k), conceptrank.WithMeasure(opts.Measure))
+			scan, bm, err = eng.FullScanRDS(concepts, conceptrank.WithK(*k), conceptrank.WithWorkers(*workers), conceptrank.WithMeasure(opts.Measure))
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -728,14 +728,6 @@ func serveSearch(w http.ResponseWriter, r *http.Request, o conceptRange, s searc
 		}
 		opts.ErrorThreshold = f
 	}
-	if v := qp.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad workers %q", v)
-			return
-		}
-		opts.Workers = n
-	}
 
 	// page=N starts a paged search: the first N results come back with a
 	// resume token for /search?cursor=TOK&n=N.

@@ -114,9 +114,9 @@ type (
 	StageStat = core.StageStat
 	// StageStats is a query's per-stage breakdown (Metrics.Stages).
 	StageStats = core.StageStats
-	// Options configures a kNDS query (k, error threshold, queue limit,
-	// intra-query Workers — see the Parallel execution section of
-	// DESIGN.md; results are identical at every Workers setting).
+	// Options configures a kNDS query (k, error threshold, queue limit)
+	// and the full-scan baseline (Workers partitions the scan; results are
+	// identical at every Workers setting).
 	Options = core.Options
 	// Cursor is a resumable, steppable kNDS query: open with
 	// Engine.OpenRDS/OpenSDS, page with Next, extend the ranking with
@@ -210,7 +210,9 @@ func WithK(k int) Option { return core.WithK(k) }
 // (Options.ErrorThreshold).
 func WithEpsilon(eps float64) Option { return core.WithEpsilon(eps) }
 
-// WithWorkers sets the intra-query worker bound (Options.Workers).
+// WithWorkers sets the goroutine bound of the partitioned full scan
+// (Options.Workers); kNDS queries examine candidates one at a time and
+// ignore it.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithQueueLimit sets the BFS queue bound (Options.QueueLimit).
@@ -684,10 +686,7 @@ func (e *Engine) NewBatchSDS(queryDocs [][]ConceptID, opts Options) (*Batch, err
 
 // BatchRDS evaluates many RDS queries concurrently over a worker pool
 // (workers <= 0 selects GOMAXPROCS). Results are in input order; the
-// first error cancels the queries not yet started. Within a batch each
-// query defaults to a serial engine (Options.Workers == 0 is treated as
-// 1); set Options.Workers explicitly to stack intra-query parallelism on
-// top.
+// first error cancels the queries not yet started.
 func (e *Engine) BatchRDS(queries [][]ConceptID, opts Options, workers int) ([][]Result, []*Metrics, error) {
 	return e.inner.BatchRDS(queries, e.withCache(opts), workers)
 }

@@ -48,9 +48,6 @@ type nodesResult struct {
 }
 
 func runWorkloadNodes(ds *Dataset, queries [][]ontology.ConceptID, opts core.Options) (nodesResult, error) {
-	if opts.Workers == 0 {
-		opts.Workers = QueryWorkers
-	}
 	var total time.Duration
 	var nodes float64
 	for _, q := range queries {

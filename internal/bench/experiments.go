@@ -92,25 +92,13 @@ func Fig6(env *Env) []*Table {
 	return out
 }
 
-// QueryWorkers is the intra-query Options.Workers applied to workloads
-// whose options leave Workers unset. It defaults to 1 — the paper's
-// experiments are single-threaded, and reproduction numbers must stay
-// comparable with the published figures — and is overridden by
-// cmd/crbench's -workers flag. Results are identical either way; only
-// timings move.
-var QueryWorkers = 1
-
 // runKNDS executes a query workload and averages metrics.
 type avgMetrics struct {
 	Total, Traversal, Distance, IO time.Duration
 	DRCCalls, Examined, Results    float64
-	SpecDRC                        float64
 }
 
 func runWorkload(eng *core.Engine, sds bool, queries [][]ontology.ConceptID, opts core.Options) (avgMetrics, error) {
-	if opts.Workers == 0 {
-		opts.Workers = QueryWorkers
-	}
 	var sum avgMetrics
 	for _, q := range queries {
 		var m *core.Metrics
@@ -130,7 +118,6 @@ func runWorkload(eng *core.Engine, sds bool, queries [][]ontology.ConceptID, opt
 		sum.DRCCalls += float64(m.DRCCalls)
 		sum.Examined += float64(m.DocsExamined)
 		sum.Results += float64(m.ResultCount)
-		sum.SpecDRC += float64(m.SpeculativeDRC)
 	}
 	n := time.Duration(len(queries))
 	sum.Total /= n
@@ -140,7 +127,6 @@ func runWorkload(eng *core.Engine, sds bool, queries [][]ontology.ConceptID, opt
 	sum.DRCCalls /= float64(len(queries))
 	sum.Examined /= float64(len(queries))
 	sum.Results /= float64(len(queries))
-	sum.SpecDRC /= float64(len(queries))
 	return sum, nil
 }
 

@@ -139,7 +139,7 @@ func telemetryWarmup(ds *Dataset, queries [][]ontology.ConceptID) error {
 // and returns its wall latency (including the sink's completion work,
 // which a production query also pays).
 func telemetryQuery(ds *Dataset, q []ontology.ConceptID, cfg telemetryConfig) (time.Duration, error) {
-	opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, Workers: QueryWorkers, StageAllocs: cfg.stageAllocs}
+	opts := core.Options{K: DefaultK, ErrorThreshold: ds.DefaultEps, StageAllocs: cfg.stageAllocs}
 	trace, done := cfg.prep("bench_rds")
 	opts.Trace = trace
 	start := time.Now()

@@ -20,10 +20,17 @@ import (
 // peak footprint in the engine's pool forever.
 const defaultArenaRetainBytes = 8 << 20
 
+// maxRetainedScratchBytes caps the DRC scratch a released arena keeps.
+// kNDS runs every exact-distance probe on its arena's scratch, whose radix
+// workspace keeps the footprint of the largest probe it served: a dense
+// SDS document pair grows it past a megabyte, and each pooled arena would
+// pin that peak. Queries over small documents stay under the cap and
+// probe without allocating; larger ones regrow the workspace once per
+// query and reuse it across that query's probes.
+const maxRetainedScratchBytes = 128 << 10
+
 // queryArena bundles the slab allocators backing one query's mutable
-// pipeline state. It is single-goroutine like the executor that owns it;
-// the parallel tier's workers never touch it (their DRC scratches are
-// pooled separately on the speculator).
+// pipeline state. It is single-goroutine like the executor that owns it.
 type queryArena struct {
 	docs   pool.Slab[docState]
 	ptrs   pool.Slab[*docState]
@@ -53,9 +60,9 @@ func (a *queryArena) reset() {
 	a.tables.Reset()
 }
 
-// bytes is the arena's retained slab footprint (the DRC scratch and queue
-// buffer are excluded: both are bounded by the same query shape the slabs
-// reflect, so the slab total is the deciding signal).
+// bytes is the arena's retained slab footprint (the queue buffer is
+// bounded by the same query shape the slabs reflect, and the DRC scratch
+// has its own cap, maxRetainedScratchBytes).
 func (a *queryArena) bytes() int64 {
 	return a.docs.Bytes() + a.ptrs.Bytes() + a.i32.Bytes() + a.f64.Bytes() +
 		a.cids.Bytes() + a.pages.Bytes() + a.tables.Bytes()
@@ -88,5 +95,8 @@ func (e *Engine) releaseArena(a *queryArena, retain int64) {
 		return
 	}
 	a.reset()
+	if a.scr.Bytes() > maxRetainedScratchBytes {
+		a.scr.Release()
+	}
 	e.arenas.Put(a)
 }

@@ -23,10 +23,10 @@ var ErrCursorClosed = errors.New("core: cursor closed")
 //	               to a fresh query with Options.K = k;
 //	Run(ctx)       run to termination at the current k without consuming
 //	               the page position (RDSContext is Open + Run + Close);
-//	Close()        release the speculation pool.
+//	Close()        return the query's arena to the engine.
 //
 // Context errors are resumable: cancellation is observed at wave
-// boundaries, where no speculative work is in flight, so a timed-out Next
+// boundaries, where no wave is half applied, so a timed-out Next
 // can be retried with a fresh context and the query continues where it
 // stopped. Any other error poisons the cursor and is returned from every
 // subsequent call.
@@ -180,7 +180,8 @@ func (c *Cursor) Metrics() *Metrics {
 	return c.x.m
 }
 
-// Close releases the cursor's speculation pool. Closing twice is a no-op.
+// Close returns the cursor's query arena to the engine for reuse. Closing
+// twice is a no-op.
 func (c *Cursor) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

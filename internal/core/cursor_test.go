@@ -15,9 +15,7 @@ import (
 // Cursor-resume equivalence: the ISSUE's headline cursor acceptance check.
 // Taking k results and then growing to k' = 2k must be bitwise identical —
 // same documents, same float64 distances, same tie-breaks — to a fresh
-// query opened at k', for RDS and SDS at every worker setting. CI runs the
-// grid under -race, where it doubles as a concurrency check of resuming
-// over the speculation pool.
+// query opened at k', for RDS and SDS at every worker setting.
 
 // TestCursorResumeEquivalenceGrid: serial and parallel, RDS and SDS,
 // across randomized ontologies/corpora and an option grid: Next(k) then
@@ -142,7 +140,7 @@ func assertSameResults(t *testing.T, want, got []Result, label string) {
 }
 
 // assertSameCounters compares the decision-sequence counters (everything
-// except times and SpeculativeDRC) of a one-shot query and a cursor run
+// except times) of a one-shot query and a cursor run
 // that should have replayed the same decisions.
 func assertSameCounters(t *testing.T, want, got *Metrics, label string) {
 	t.Helper()

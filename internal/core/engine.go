@@ -26,9 +26,8 @@
 // table, examination policy, collector — driven by a steppable executor
 // (pipeline.go). RDS/SDS run the executor to termination; the Cursor API
 // (cursor.go) exposes the same executor incrementally, with resumable
-// pagination and GrowK. The parallel speculation path (parallel.go), the
-// batch scheduler (batch.go) and the sharded fan-out (internal/shard) all
-// share these stage types.
+// pagination and GrowK. The batch scheduler (batch.go) and the sharded
+// fan-out (internal/shard) share these stage types.
 package core
 
 import (
@@ -71,12 +70,10 @@ type Options struct {
 	QueueLimit int
 	// MaxPaths caps Dewey addresses per concept inside DRC (<= 0: no cap).
 	MaxPaths int
-	// DedupVisits deduplicates BFS states per (origin, node, phase).
-	// The paper avoids the bookkeeping and revisits nodes; set false to
-	// reproduce that behaviour (ablation).
-	DedupVisits bool
-	// NoDedup disables visit dedup when true (the zero value of Options
-	// must mean "dedup on", hence the inverted flag).
+	// NoDedup disables the deduplication of BFS states per (origin, node,
+	// phase). The paper avoids the bookkeeping and revisits nodes; set it
+	// to reproduce that behaviour (ablation). The zero value means dedup
+	// on, hence the inverted flag.
 	NoDedup bool
 	// UseBL swaps DRC for the brute-force pairwise BL calculator when
 	// computing exact distances (ablation).
@@ -84,29 +81,28 @@ type Options struct {
 	// NoSkipWhenCovered disables optimization 3 (reuse the accumulated
 	// distance instead of calling DRC when all query nodes are covered).
 	NoSkipWhenCovered bool
-	// Workers bounds the worker goroutines used for intra-query parallel
-	// execution: exact-distance (DRC) examinations are speculatively fanned
-	// out to a pool of this size while the pruning and top-k decisions stay
-	// on the query's goroutine, so results are identical at every setting
-	// (see DESIGN.md, "Parallel execution"). 0 selects GOMAXPROCS; 1 runs
-	// fully serial; negative values are rejected with ErrNegativeWorkers.
-	// The UseBL ablation path always runs serial.
+	// Workers bounds the goroutines of the partitioned full scan
+	// (FullScanRDS/FullScanSDS): a value above 1 splits the scan into that
+	// many DocID ranges ranked concurrently, with results identical to the
+	// serial scan; 0 and 1 scan serially, and the UseBL ablation path
+	// always scans serially. kNDS queries and cursors examine candidates
+	// one at a time and ignore it (see DESIGN.md, "Parallel execution").
+	// Negative values are rejected with ErrNegativeWorkers by every entry
+	// point.
 	Workers int
 	// ExamPolicy overrides the examination decision of the pipeline's
 	// policy stage. nil selects the paper's rule: examine while the Eq. 9
 	// error estimate is within ErrorThreshold, unconditionally on forced
 	// examinations and at traversal exhaustion (ThresholdPolicy). A custom
-	// policy must be deterministic — the speculative prefetch mirrors its
-	// decisions — and only preserves exact top-k results if it examines
-	// forced and exhausted candidates; see ExamPolicy.
+	// policy must be deterministic, and only preserves exact top-k results
+	// if it examines forced and exhausted candidates; see ExamPolicy.
 	ExamPolicy ExamPolicy
 	// Progressive, when non-nil, receives results as soon as they are
 	// provably part of the top-k (optimization 4), before the run ends.
 	// Progressive is always invoked sequentially from the goroutine running
-	// the query — never from worker goroutines, regardless of Workers — so
-	// a per-query callback needs no synchronization. (A callback shared
-	// across concurrently running queries, e.g. one closure passed to a
-	// whole batch, must still synchronize its own state.)
+	// the query, so a per-query callback needs no synchronization. (A
+	// callback shared across concurrently running queries, e.g. one closure
+	// passed to a whole batch, must still synchronize its own state.)
 	Progressive func(Result)
 	// OnWave, when non-nil, receives a snapshot after every BFS wave —
 	// instrumentation for tracing, debugging and the golden tests that
@@ -174,8 +170,8 @@ type Options struct {
 	// the returned Metrics.TerminalEps. Tracing is observation-only —
 	// results, pruning and every counter are identical with and without a
 	// hook — and, like Progressive, the hook is invoked sequentially from
-	// the goroutine running the query at every Workers setting. A nil Trace
-	// costs one branch per would-be event.
+	// the goroutine running the query. A nil Trace costs one branch per
+	// would-be event.
 	Trace TraceFunc
 }
 
@@ -210,7 +206,6 @@ func (o Options) Normalize() Options {
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	o.DedupVisits = !o.NoDedup
 	return o
 }
 
@@ -220,7 +215,10 @@ func (o Options) Normalize() Options {
 // every run segment of the query's lifetime.
 type Metrics struct {
 	TraversalTime time.Duration // BFS expansion, bound maintenance
-	DistanceTime  time.Duration // DRC / BL exact distance computations
+	// DistanceTime is the time spent in DRC / BL exact distance
+	// computations. The partitioned full scan sums it across its workers,
+	// so there it can exceed the wall-clock TotalTime.
+	DistanceTime time.Duration
 	// IOTime is the index access time attributed to this query. It is
 	// always zero for in-memory stores: only the disk-backed indexes share
 	// a store.IOStats with the engine (see NewEngine), so memory-resident
@@ -244,11 +242,9 @@ type Metrics struct {
 	CacheHits   int
 	CacheMisses int
 
-	// SpeculativeDRC counts the exact-distance computations scheduled on
-	// the worker pool (Workers > 1). It is >= the share of DRCCalls served
-	// from the speculation cache; the excess is wasted speculative work.
-	// All other counters are identical at every Workers setting — the
-	// parallel engine commits exactly the serial decision sequence.
+	// Deprecated: always 0; the speculative DRC prefetch it counted was
+	// removed, and kNDS computes every exact distance inline in its commit
+	// loop. Kept so existing readers still compile.
 	SpeculativeDRC int
 
 	// Stages is the per-stage resource breakdown: wall time per pipeline

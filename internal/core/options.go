@@ -22,7 +22,8 @@ func WithK(k int) Option { return func(o *Options) { o.K = k } }
 // (Options.ErrorThreshold).
 func WithEpsilon(eps float64) Option { return func(o *Options) { o.ErrorThreshold = eps } }
 
-// WithWorkers sets the intra-query worker bound (Options.Workers).
+// WithWorkers sets the goroutine bound of the partitioned full scan
+// (Options.Workers).
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithQueueLimit sets the BFS queue bound (Options.QueueLimit).

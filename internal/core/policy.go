@@ -29,13 +29,11 @@ type ExamDecision struct {
 // ExamPolicy decides whether the commit loop examines the offered
 // candidate or stops for this wave.
 //
-// A policy must be deterministic and effectively stateless: the
-// speculative prefetch (Workers > 1) mirrors the commit loop's decisions
-// with the heap frozen, calling the policy a second time with the same
-// evidence, and the per-query serial/parallel equivalence guarantee rests
-// on both calls agreeing. Exactness of the top-k is only guaranteed when
-// the policy examines forced and exhausted candidates (as the default
-// does); a policy that declines those trades exactness for latency.
+// A policy must be deterministic and effectively stateless, so that a
+// query's results are reproducible. Exactness of the top-k is only
+// guaranteed when the policy examines forced and exhausted candidates (as
+// the default does); a policy that declines those trades exactness for
+// latency.
 type ExamPolicy interface {
 	ShouldExamine(d ExamDecision) bool
 }

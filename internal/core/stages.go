@@ -34,8 +34,8 @@ const (
 	// StageBound is the per-wave candidate refresh: lower-bound
 	// recomputation, compaction and commit-order sorting.
 	StageBound
-	// StageExam is the examination phase: speculative prefetch dispatch
-	// plus the serial commit loop with its exact-distance (DRC) calls.
+	// StageExam is the examination phase: the serial commit loop with its
+	// exact-distance (DRC) calls.
 	StageExam
 	// StageCollect is the per-wave termination bookkeeping: the d⁻ floor
 	// scan, progressive emission and final result materialization.

@@ -19,8 +19,8 @@ import (
 // A Prepared is immutable after construction and safe for concurrent use:
 // Build, DocQuery and DocDoc only read the sorted query entries and
 // allocate fresh per-call state, and the optional AddressCache is itself
-// concurrency-safe. The parallel engine relies on this to probe one
-// Prepared from every speculation worker.
+// concurrency-safe. The partitioned full scan relies on this to probe one
+// Prepared from every worker.
 type Prepared struct {
 	o       *ontology.Ontology
 	query   []ontology.ConceptID

@@ -2,6 +2,7 @@ package drc
 
 import (
 	"sort"
+	"unsafe"
 
 	"conceptrank/internal/dewey"
 	"conceptrank/internal/ontology"
@@ -16,14 +17,21 @@ import (
 // allocation.
 //
 // A Scratch is not safe for concurrent use, and the DRadix produced by a
-// scratch probe is valid only until the scratch's next use: the serial
-// pipeline keeps one per executor, the parallel tier one per worker.
+// scratch probe is valid only until the scratch's next use: kNDS keeps one
+// per query arena, the partitioned full scan one per worker.
 type Scratch struct {
 	ws      radix.Workspace
 	entries []preparedEntry
 	ddoc    []int32
 	dquery  []int32
 	dr      DRadix
+}
+
+// Bytes estimates the scratch's retained footprint; the radix workspace
+// dominates it.
+func (s *Scratch) Bytes() int64 {
+	return s.ws.Bytes() + int64(cap(s.entries))*int64(unsafe.Sizeof(preparedEntry{})) +
+		int64(cap(s.ddoc)+cap(s.dquery))*int64(unsafe.Sizeof(int32(0)))
 }
 
 // Release drops all retained memory; the scratch remains usable.

@@ -11,8 +11,8 @@ import "unsafe"
 // every later query of similar shape re-carves the same chunks.
 //
 // A Slab is not safe for concurrent use; give each goroutine its own (the
-// engine keeps one arena per query, the parallel tier one scratch per
-// worker, the sharded tier one arena pool per shard engine).
+// engine keeps one arena per query, the sharded tier one arena pool per
+// shard engine).
 type Slab[T any] struct {
 	chunks [][]T
 	cur    int // index of the chunk Alloc carves from

@@ -1,3 +1,15 @@
+// Package pool provides the shared concurrency primitives of the engine:
+//
+//   - Group, an errgroup-style cancellation group scheduling whole queries
+//     (internal/core's batch scheduler), partitioned full-scan ranges and
+//     shard fan-outs, with first-error cancellation of the not-yet-started
+//     remainder;
+//   - ShardedMap, a lock-sharded concurrent map backing caches shared by
+//     many goroutines (internal/drc's Dewey address cache);
+//   - Slab, a chunked arena behind the per-query pipeline state.
+//
+// The primitives are deliberately dependency-free (stdlib only) so every
+// internal package may use them without import cycles.
 package pool
 
 import (

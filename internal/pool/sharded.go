@@ -4,10 +4,8 @@ import "sync"
 
 // ShardedMap is a concurrent map whose keyspace is split across
 // independently locked shards, so readers and writers on different shards
-// never contend. It backs caches shared by many pool workers (the Dewey
-// address cache of internal/drc); for coordinator-owned state such as the
-// engine's candidate list, plain maps remain the right tool (see DESIGN.md,
-// "Parallel execution").
+// never contend. It backs caches shared by many concurrent queries (the
+// Dewey address cache of internal/drc).
 type ShardedMap[K comparable, V any] struct {
 	hash   func(K) uint64
 	mask   uint64

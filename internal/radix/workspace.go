@@ -4,6 +4,7 @@ import (
 	"conceptrank/internal/dewey"
 	"conceptrank/internal/ontology"
 	"conceptrank/internal/pool"
+	"unsafe"
 )
 
 // Workspace recycles every piece of per-build DAG state — nodes, their edge
@@ -52,6 +53,17 @@ func (w *Workspace) NewDAG(o *ontology.Ontology) *DAG {
 // regrows on demand.
 func (w *Workspace) Release() {
 	*w = Workspace{}
+}
+
+// Bytes estimates the workspace's retained footprint: the pooled nodes
+// with their edge and parent capacities, and the label slab.
+func (w *Workspace) Bytes() int64 {
+	b := w.labels.Bytes()
+	for _, n := range w.pool {
+		b += int64(unsafe.Sizeof(*n)) + int64(cap(n.Edges))*int64(unsafe.Sizeof(Edge{})) +
+			int64(cap(n.Parents))*int64(unsafe.Sizeof(n))
+	}
+	return b
 }
 
 // newNode hands out a reset node from the retained pool, growing it only

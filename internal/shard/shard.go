@@ -243,9 +243,7 @@ func (e *Engine) SDSContext(ctx context.Context, queryDoc []ontology.ConceptID, 
 // invoked sequentially and needs no synchronization of its own. A
 // forwarded event's At is relative to its own shard's query start; the
 // sharded engine's ShardDispatch/ShardMerge events are relative to the
-// fan-out start. Workers == 0 means serial per shard (mirroring the batch
-// scheduler: the shard fan-out already fills the cores); set it explicitly
-// to oversubscribe.
+// fan-out start.
 func (e *Engine) query(ctx context.Context, sds bool, rawQuery []ontology.ConceptID, opts core.Options) ([]core.Result, *Metrics, error) {
 	cur, err := e.open(sds, rawQuery, opts)
 	if err != nil {
@@ -273,7 +271,6 @@ func mergeMetrics(dst, src *core.Metrics) {
 	dst.ForcedExams += src.ForcedExams
 	dst.CacheHits += src.CacheHits
 	dst.CacheMisses += src.CacheMisses
-	dst.SpeculativeDRC += src.SpeculativeDRC
 	core.MergeStages(&dst.Stages, &src.Stages)
 	if src.TerminalEps > dst.TerminalEps {
 		dst.TerminalEps = src.TerminalEps

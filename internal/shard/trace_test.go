@@ -117,6 +117,9 @@ func TestMergeMetricsCoversAllFields(t *testing.T) {
 	callerOwned := map[string]bool{
 		"TotalTime":   true, // wall-clock of the fan-out, not a shard sum
 		"ResultCount": true, // merged result count, set after Merger.Sorted
+		// Deprecated and never written by any engine: there is nothing
+		// to merge.
+		"SpeculativeDRC": true,
 	}
 
 	var src, dst core.Metrics

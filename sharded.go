@@ -130,11 +130,10 @@ func (e *ShardedEngine) NumDocs() int { return e.inner.NumDocs() }
 func (e *ShardedEngine) Close() error { return e.inner.Close() }
 
 // RDS returns the k documents most relevant to the query concepts,
-// searched across all shards concurrently. Options.Workers == 0 means
-// serial per shard (the fan-out already fills the cores). Progressive,
-// OnWave and OnBound are used internally by the merge and are ignored;
-// Options.Trace is honored — per-shard span events are forwarded to it
-// sequentially with TraceEvent.Shard stamped.
+// searched across all shards concurrently. Progressive, OnWave and
+// OnBound are used internally by the merge and are ignored; Options.Trace
+// is honored — per-shard span events are forwarded to it sequentially
+// with TraceEvent.Shard stamped.
 func (e *ShardedEngine) RDS(query []ConceptID, opts Options) ([]Result, *ShardedMetrics, error) {
 	return e.RDSContext(context.Background(), query, opts)
 }
